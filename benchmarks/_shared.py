@@ -38,7 +38,7 @@ DIALECTS = ("sqlite", "mysql", "postgres")
 #: seed scan.
 FOCUS_HINTS: dict[str, tuple[int, ...]] = {
     "sqlite-case-sensitive-like-index": (10,),
-    "sqlite-nocase-unique-without-rowid": (12, 44),
+    "sqlite-nocase-unique-without-rowid": (15,),
 }
 #: Paper rows for the shape comparison (Table 2 "Fixed" and Table 3).
 PAPER_TABLE2_FIXED = {"sqlite": 65, "mysql": 15, "postgres": 5}

@@ -17,6 +17,7 @@ fingerprints, recorded in ``results/guidance.json``.
 """
 
 import json
+import os
 
 from _shared import RESULTS_DIR
 
@@ -33,9 +34,11 @@ def coverage_for(seed: int, guided: bool) -> tuple[int, int]:
     short by a bug report — both modes then consume the exact same
     query budget and the comparison is purely about plan discovery.
     """
+    # Unguided runs track plans passively through a coverage path; the
+    # dump itself is discarded.
     config = CampaignConfig(seed=seed, databases=DATABASES,
-                            reduce=False, bug_ids=[],
-                            guidance=guided, track_plans=not guided)
+                            reduce=False, bug_ids=[], guidance=guided,
+                            plan_coverage=None if guided else os.devnull)
     result = Campaign(config).run()
     return result.plan_coverage.distinct, result.stats.queries
 

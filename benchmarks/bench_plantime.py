@@ -26,6 +26,7 @@ import time
 from _shared import RESULTS_DIR
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
+from repro.core.runner import RunnerConfig
 from repro.plantime import TimingArchive, compare_archives
 
 BUG = "sqlite-forced-index-fencepost"
@@ -37,8 +38,8 @@ SLOWDOWN_FACTOR = 10.0
 def _campaign(plan_timing: bool):
     config = CampaignConfig(
         dialect="sqlite", seed=SEED, databases=DATABASES,
-        bug_ids=[BUG], reduce=False, multiplan=True,
-        plan_timing=plan_timing)
+        bug_ids=[BUG], reduce=False,
+        runner=RunnerConfig(multiplan=True, plan_timing=plan_timing))
     t0 = time.perf_counter()
     result = Campaign(config).run()
     return result, time.perf_counter() - t0

@@ -26,11 +26,6 @@ from repro.campaigns.journal import (
     RoundRecord,
     round_seed,
 )
-from repro.campaigns.parallel import (
-    ParallelCampaign,
-    ParallelCampaignConfig,
-    ParallelCampaignResult,
-)
 from repro.campaigns.replay import DifferentialReplayer
 from repro.campaigns.scheduler import RoundQueue
 from repro.campaigns.supervisor import (
@@ -56,9 +51,6 @@ __all__ = [
     "DifferentialReplayer",
     "JournalState",
     "NULL_CHAOS",
-    "ParallelCampaign",
-    "ParallelCampaignConfig",
-    "ParallelCampaignResult",
     "QuarantineRecord",
     "RecoveryStats",
     "RoundExecutor",

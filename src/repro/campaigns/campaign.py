@@ -23,6 +23,11 @@ from repro.campaigns.journal import (
 )
 from repro.campaigns.replay import DifferentialReplayer
 from repro.campaigns.scheduler import RoundQueue
+from repro.campaigns.supervisor import (
+    SupervisionReport,
+    Supervisor,
+    SupervisorConfig,
+)
 from repro.core.reducer import TestCaseReducer
 from repro.core.reports import BugReport, Oracle, RunStatistics
 from repro.core.runner import PQSRunner, RunnerConfig
@@ -33,7 +38,7 @@ from repro.multiplan.hints import BASELINE, PlannerHints
 from repro.multiplan.replay import MultiPlanReplayer
 from repro.observe.observatory import NULL_OBSERVATORY, Observatory
 from repro.plantime.archive import TimingArchive
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import MetricsRegistry, NULL_TELEMETRY, Telemetry
 from repro.telemetry import names as metric_names
 
 #: BugReport oracle value -> catalog oracle tag.
@@ -58,27 +63,6 @@ def primary_attribution(report: BugReport) -> str:
     return report.attributed_bugs[0]
 
 
-def stats_from_records(records, quarantined=()) -> RunStatistics:
-    """Fold per-round records (journal-loaded or freshly run, already in
-    round-index order) into campaign statistics.  Shared by the
-    single-process journaled path and the parallel fleet so both merge
-    identically."""
-    stats = RunStatistics()
-    for record in records:
-        stats.databases += 1
-        stats.statements += record.statements
-        stats.queries += record.queries
-        stats.pivots += record.pivots
-        stats.expected_errors += record.expected_errors
-        stats.timeouts += record.timeouts
-        stats.seconds += record.seconds
-        stats.absorb_multiplan(getattr(record, "multiplan", {}))
-        stats.absorb_plantime(getattr(record, "plantime", {}))
-        stats.reports.extend(record.reports)
-    stats.quarantined_rounds = len(quarantined)
-    return stats
-
-
 def record_recovery(recovery: RecoveryStats, telemetry: "Telemetry",
                     recovered: int = 0) -> None:
     """Surface journal-recovery outcomes as telemetry counters."""
@@ -99,6 +83,7 @@ def record_recovery(recovery: RecoveryStats, telemetry: "Telemetry",
 class CampaignConfig:
     dialect: str = "sqlite"
     seed: int = 0
+    #: Database rounds in the whole campaign (shared by every worker).
     databases: int = 50
     #: Defects to enable; None enables the dialect's full catalog.
     bug_ids: Optional[list[str]] = None
@@ -106,16 +91,21 @@ class CampaignConfig:
     #: Stop re-reporting a defect after this many reports (the authors
     #: likewise stopped filing duplicates).
     max_reports_per_bug: int = 2
-    #: JSONL journal path.  When set, each database round gets an
-    #: independently-derived seed and its raw results are persisted as
-    #: the campaign runs, so an interrupted hunt can be continued.
+    #: JSONL journal path: a durable sink for the round records, so an
+    #: interrupted hunt can be continued.  One *shared* journal for the
+    #: whole fleet (the journal is internally locked); a resume
+    #: redistributes the remaining rounds over however many threads the
+    #: resuming run has.
     journal: Optional[str] = None
     #: Continue from an existing journal instead of starting over.
     resume: bool = False
     #: Observability sink (metrics registry + tracer); None runs with
     #: the no-op :data:`repro.telemetry.NULL_TELEMETRY`.  Deliberately
     #: not part of the journal fingerprint: turning telemetry on must
-    #: not invalidate a resumable hunt.
+    #: not invalidate a resumable hunt.  With ``threads > 1`` each
+    #: worker counts in a *private* registry (no cross-thread
+    #: contention on the hot path); after the join every per-worker
+    #: snapshot is merged into this registry.
     telemetry: Optional["Telemetry"] = None
     #: Observability hub (repro.observe.Observatory): event log plus
     #: live status views.  Like telemetry — and unlike guidance — it is
@@ -126,51 +116,35 @@ class CampaignConfig:
     #: Query-plan-coverage guidance (repro.guidance).  Unlike telemetry
     #: this *is* journal-fingerprinted when on: feedback changes what
     #: the campaign generates, so a guided journal cannot silently
-    #: continue an unguided hunt (or vice versa).
+    #: continue an unguided hunt (or vice versa).  With ``threads > 1``
+    #: each worker runs its own scheduler, so feedback is best-effort
+    #: per worker; passive tracking stays schedule-independent.
     guidance: bool = False
     #: Write the final plan-coverage set (PlanCoverage JSON) here.
     #: Setting a path without ``guidance=True`` observes plans
     #: *passively*: coverage is tracked and dumped but generation is the
     #: exact unguided stream.
     plan_coverage: Optional[str] = None
-    #: Track plan coverage without dumping it (parallel workers use
-    #: this; the merged set is dumped by the parent).
-    track_plans: bool = False
-    #: Failed attempts before a journaled round is quarantined (a
-    #: poison round — e.g. HarnessError on every try — is journaled and
-    #: surfaced instead of aborting the hunt).
+    #: Failed attempts before a round is quarantined (a poison round —
+    #: e.g. HarnessError on every try — is journaled and surfaced
+    #: instead of aborting the hunt).
     quarantine_threshold: int = 3
-    #: Multi-plan differential oracle (repro.multiplan).  Like guidance
-    #: it is journal-fingerprinted when on — not because it perturbs the
-    #: statement stream (it cannot: forced runs use the non-logged
-    #: ``with_plan`` hook), but because its findings are journaled, so a
-    #: multiplan journal must not silently continue a plain hunt.
-    multiplan: bool = False
-    #: Optimizer observatory (repro.plantime): time each distinct forced
-    #: plan and flag planner regressions.  Requires ``multiplan``.
-    #: Journal-fingerprinted when on — timing outcomes are journaled, so
-    #: a timing journal must not silently continue (or be continued by)
-    #: an untimed hunt.
-    plan_timing: bool = False
-    #: Timed re-executions per plan (min-of-k).
-    timing_repeats: int = 3
-    #: Planner-regression flagging ratio.
-    regression_ratio: float = 1.5
-    #: Write the final merged TimingArchive (JSONL) here.
+    #: Write the final merged TimingArchive (JSONL) here; requires
+    #: ``runner.plan_timing``.
     timing_archive: Optional[str] = None
-    #: Statements per pipe round-trip for batchable work (see
-    #: :attr:`repro.core.runner.RunnerConfig.batch_size`).
-    batch_size: int = 16
+    #: The per-round PQS knobs, multiplan and plan timing included.
+    #: ``dialect`` and ``seed`` above override the copies in here.
     runner: RunnerConfig = field(default_factory=RunnerConfig)
-
-    def __post_init__(self) -> None:
-        self.runner.dialect = self.dialect
-        self.runner.seed = self.seed
-        self.runner.multiplan = self.multiplan
-        self.runner.plan_timing = self.plan_timing
-        self.runner.plan_timing_repeats = self.timing_repeats
-        self.runner.plan_regression_ratio = self.regression_ratio
-        self.runner.batch_size = self.batch_size
+    #: Worker threads draining the round queue.  1 runs inline; more
+    #: run under the :class:`~repro.campaigns.supervisor.Supervisor`.
+    #: Findings are identical for any thread count (without feedback
+    #: guidance): every round's seed derives from (seed, round index).
+    threads: int = 1
+    #: Restart budget, backoff and stall detection for the fleet.
+    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
+    #: Fault-injection schedule (repro.campaigns.chaos.ChaosPolicy);
+    #: None runs undisturbed.  Chaos always runs under the supervisor.
+    chaos: Optional[object] = None
 
 
 @dataclass
@@ -179,6 +153,8 @@ class CampaignResult:
     stats: RunStatistics
     #: Final plan-coverage set when the campaign tracked plans
     #: (``guidance`` or ``plan_coverage`` configured); None otherwise.
+    #: Rebuilt from the round records in round-index order, so it is
+    #: independent of worker scheduling.
     plan_coverage: Optional["PlanCoverage"] = None
     #: Reduced, attributed reports (unattributed findings excluded —
     #: they would be tool bugs, which the test suite asserts never
@@ -186,13 +162,29 @@ class CampaignResult:
     reports: list[BugReport] = field(default_factory=list)
     unattributed: list[BugReport] = field(default_factory=list)
     #: Merged per-plan timing archive when the campaign timed plans
-    #: (``plan_timing``); None otherwise.
+    #: (``runner.plan_timing``); None otherwise.
     timing_archive: Optional["TimingArchive"] = None
-    #: Poison rounds retired after exhausting the retry threshold
-    #: (journaled campaigns only).
+    #: Poison rounds retired after exhausting the retry threshold.
     quarantined: list[QuarantineRecord] = field(default_factory=list)
     #: What journal recovery had to repair on ``--resume``.
     recovery: RecoveryStats = field(default_factory=RecoveryStats)
+    #: What supervision did (restarts, stalls, backoff, failures);
+    #: empty for an inline campaign.
+    supervision: SupervisionReport = field(
+        default_factory=SupervisionReport)
+    #: One entry per worker death: the summary line followed by the
+    #: full formatted traceback — a fleet failure must be debuggable
+    #: from the campaign result alone.
+    worker_errors: list[str] = field(default_factory=list)
+    #: Per-worker metric snapshots (one per spawned incarnation),
+    #: merged into the shared registry; kept so per-worker skew is
+    #: inspectable.
+    worker_snapshots: list[dict] = field(default_factory=list)
+    #: Rounds completed per logical worker slot (restarted incarnations
+    #: count toward their slot; journal-preloaded rounds toward none).
+    per_thread_rounds: list[int] = field(default_factory=list)
+    #: Distinct plans per worker slot (empty when plans are untracked).
+    per_thread_plans: list[int] = field(default_factory=list)
 
     def harness_reports(self) -> list[str]:
         """Synthesized human-readable reports for quarantined rounds —
@@ -230,7 +222,21 @@ class CampaignResult:
 
 
 class Campaign:
-    """Runs PQS against defect-injected MiniDB and scores the findings."""
+    """Runs PQS against defect-injected MiniDB and scores the findings.
+
+    Every campaign drains one :class:`~repro.campaigns.scheduler.RoundQueue`
+    of round indexes through :class:`~repro.campaigns.executor.RoundExecutor`:
+    round *i* runs under :func:`~repro.campaigns.journal.round_seed`
+    (an independent derivation from the campaign seed and *i*), so any
+    worker can run any round and the merged result — statistics,
+    reports, triage — is the same for one thread or many, journaled or
+    not.  The journal is only a sink for the round records (plus the
+    source of preloaded rounds on ``resume``).  Paper §3.4: "We
+    parallelized the system by running each thread on a distinct
+    database."  Python threads do not overlap CPU-bound work (the GIL),
+    so against the pure-Python MiniDB ``threads`` is about workload
+    shape and supervision, not speedup.
+    """
 
     def __init__(self, config: CampaignConfig):
         self.config = config
@@ -242,6 +248,12 @@ class Campaign:
         self.multiplan_replayer = MultiPlanReplayer(config.dialect,
                                                     self.bugs)
 
+    @property
+    def tracks_plans(self) -> bool:
+        # plan_coverage without guidance observes passively: plans are
+        # fingerprinted and dumped, generation is untouched.
+        return self.config.guidance or bool(self.config.plan_coverage)
+
     def _connection(self) -> MiniDBConnection:
         return MiniDBConnection(self.config.dialect,
                                 bugs=BugRegistry(set(self.bugs.enabled)))
@@ -249,16 +261,13 @@ class Campaign:
     def build_runner(self, telemetry=None, seed: Optional[int] = None,
                      ) -> PQSRunner:
         """A fresh runner wired exactly as this campaign hunts: own
-        connection factory, telemetry, and guidance scheduler.  Used by
-        :meth:`run` and by the parallel fleet's executor factory (each
-        worker — and each supervisor restart — gets its own)."""
+        connection factory, telemetry, and guidance scheduler (seeded
+        with *seed*, default the campaign seed).  Every worker — and
+        every supervisor restart — gets its own."""
         if telemetry is None:
             telemetry = self.config.telemetry
         guidance = NULL_GUIDANCE
-        if self.config.guidance or self.config.plan_coverage \
-                or self.config.track_plans:
-            # plan_coverage without guidance observes passively: plans
-            # are fingerprinted and dumped, generation is untouched.
+        if self.tracks_plans:
             guidance = PlanGuidance(
                 seed=self.config.seed if seed is None else seed,
                 feedback=self.config.guidance,
@@ -266,46 +275,61 @@ class Campaign:
         # Each runner gets its own RunnerConfig: reseed() mutates
         # config.seed, and concurrent workers sharing one config would
         # race on it (stamping reports with another worker's seed).
-        return PQSRunner(self._connection, replace(self.config.runner),
+        config = replace(self.config.runner, dialect=self.config.dialect,
+                         seed=self.config.seed)
+        return PQSRunner(self._connection, config,
                          telemetry=telemetry, guidance=guidance)
 
     def run(self) -> CampaignResult:
-        runner = self.build_runner()
-        guidance = runner.guidance
-        observe = self.config.observe or NULL_OBSERVATORY
-        quarantined: list[QuarantineRecord] = []
-        recovery = RecoveryStats()
-        if self.config.journal:
-            stats, quarantined, recovery = self._run_journaled(runner)
-        else:
-            stats = runner.run(self.config.databases)
-        result = CampaignResult(config=self.config, stats=stats,
-                                quarantined=quarantined,
-                                recovery=recovery)
-        if guidance.enabled:
-            result.plan_coverage = guidance.coverage
-            observe.attach_coverage(guidance.coverage)
-            if self.config.plan_coverage:
-                guidance.coverage.dump(self.config.plan_coverage)
-        if self.config.plan_timing:
-            # Built from the per-round outcome dicts — the same records
-            # a journal carries — so live, resumed, and parallel-merged
-            # campaigns produce byte-identical archives.
-            result.timing_archive = TimingArchive.from_outcomes(
-                stats.plantime_outcomes)
-            if self.config.timing_archive:
-                result.timing_archive.dump(self.config.timing_archive)
+        config = self.config
+        telemetry = config.telemetry or NULL_TELEMETRY
+        observe = config.observe or NULL_OBSERVATORY
+        queue = RoundQueue(range(config.databases), config.seed,
+                           quarantine_threshold=config.quarantine_threshold)
+        observe.attach_queue(queue)
+        result = CampaignResult(config=config, stats=RunStatistics())
+        journal = CampaignJournal(config.journal) if config.journal \
+            else None
+        try:
+            state = JournalState()
+            if journal is not None:
+                fingerprint = self._fingerprint()
+                if config.resume:
+                    state = journal.load_state(fingerprint)
+                journal.start(fingerprint, fresh=state.empty)
+                queue.preload(state.rounds, state.quarantined)
+                record_recovery(state.recovery, telemetry,
+                                recovered=len(state.rounds))
+                # The runner counts rounds it actually executes;
+                # journal-loaded rounds still advance the progress line.
+                telemetry.counter(metric_names.ROUNDS).inc(
+                    len(state.rounds))
+            result.recovery = state.recovery
+            if config.threads > 1 or config.chaos is not None:
+                slot_of = self._supervise(queue, journal, observe, result)
+            else:
+                self._drain_inline(queue, journal, state, observe)
+                slot_of = {0: 0}
+        finally:
+            if journal is not None:
+                journal.close()
+        self._merge(queue, slot_of, result)
+        if result.plan_coverage is not None:
+            observe.attach_coverage(result.plan_coverage)
         observe.mark_finished()
         reports_per_bug: dict[str, int] = {}
         seen_bugs: set[str] = set()
-        for report in stats.reports:
+        # Reduce, attribute, and triage centrally, in round-index order
+        # (stats.reports was filled from the records in that order), so
+        # the outcome is independent of worker scheduling.
+        for report in result.stats.reports:
             processed = self._process(report)
             if processed is None:
                 result.unattributed.append(report)
                 continue
             primary = primary_attribution(processed)
             if reports_per_bug.get(primary, 0) >= \
-                    self.config.max_reports_per_bug:
+                    config.max_reports_per_bug:
                 continue
             reports_per_bug[primary] = reports_per_bug.get(primary, 0) + 1
             processed.triage = self._triage(primary, seen_bugs)
@@ -313,7 +337,115 @@ class Campaign:
             result.reports.append(processed)
         return result
 
-    # -- durable (journaled) execution -------------------------------------
+    # -- round execution ---------------------------------------------------
+    def _drain_inline(self, queue: RoundQueue,
+                      journal: Optional[CampaignJournal],
+                      state: JournalState, observe) -> None:
+        """One executor on the calling thread (no supervisor)."""
+        runner = self.build_runner()
+        if runner.guidance.enabled:
+            # Guidance replays each journaled round so its seen-set,
+            # pool, and scheduling stream match the original process
+            # exactly (exact for prefix-complete journals; a corruption
+            # gap re-runs only the lost round).
+            for index in sorted(state.rounds):
+                record = state.rounds[index]
+                runner.guidance.restore_round(record.seed, record.plans)
+        RoundExecutor(0, runner, queue, self.config.seed,
+                      journal=journal, telemetry=self.config.telemetry,
+                      events=observe.events).run_loop()
+
+    def _supervise(self, queue: RoundQueue,
+                   journal: Optional[CampaignJournal], observe,
+                   result: CampaignResult) -> dict:
+        """A supervised worker fleet over the shared queue; returns the
+        worker-id -> slot map of every incarnation spawned."""
+        config = self.config
+        shared = config.telemetry
+        spawned: list[Telemetry] = []
+
+        def worker_factory(worker_id: int,
+                           heartbeats: dict) -> RoundExecutor:
+            child = None
+            if shared is not None and shared.enabled:
+                # Private registry per worker; the shared tracer is
+                # lock-protected, so spans interleave but each line
+                # stays whole.
+                child = Telemetry(registry=MetricsRegistry(),
+                                  tracer=shared.tracer)
+                spawned.append(child)
+            runner = self.build_runner(
+                telemetry=child,
+                # Distinct guidance streams per incarnation.
+                seed=config.seed + 7919 * (worker_id + 1))
+            return RoundExecutor(
+                worker_id, runner, queue, config.seed,
+                journal=journal, chaos=config.chaos, telemetry=child,
+                heartbeats=heartbeats, events=observe.events)
+
+        supervisor = Supervisor(
+            queue, max(1, config.threads), worker_factory,
+            config=config.supervisor, telemetry=shared,
+            events=observe.events)
+        observe.attach_heartbeats(supervisor.heartbeats)
+        observe.attach_supervision(supervisor.report)
+        supervision = supervisor.run()
+        if not queue.completed and supervision.failures:
+            # Nothing survived; there is nothing to degrade to.
+            raise supervision.failures[0].exception
+        result.supervision = supervision
+        result.worker_errors = [
+            f"worker slot {failure.slot}: {failure.summary}\n"
+            f"{failure.traceback}"
+            for failure in supervision.failures]
+        result.worker_snapshots = [t.registry.snapshot() for t in spawned]
+        for snapshot in result.worker_snapshots:
+            shared.registry.merge_snapshot(snapshot)
+        return supervision.worker_slots
+
+    def _merge(self, queue: RoundQueue, slot_of: dict,
+               result: CampaignResult) -> None:
+        """Fold the settled rounds into *result* in round-index order,
+        so statistics, coverage and archive are schedule-independent."""
+        slots = max(1, self.config.threads)
+        result.per_thread_rounds = [0] * slots
+        per_slot_coverage = [PlanCoverage() for _ in range(slots)]
+        coverage = PlanCoverage() if self.tracks_plans else None
+        stats = result.stats
+        for record in queue.records_in_order():
+            stats.add_round(record)
+            # completed_by holds the completing incarnation's worker id
+            # (None for journal-preloaded rounds); slot_of maps it home.
+            slot = slot_of.get(queue.completed_by.get(record.index))
+            if slot is not None:
+                result.per_thread_rounds[slot] += 1
+            if coverage is None:
+                continue
+            # Index-order rebuild: the globally-earliest round holding
+            # a fingerprint always recorded it, so the merged set —
+            # including which example query witnesses each plan — is
+            # schedule-independent.
+            for fingerprint, example in record.plans:
+                coverage.observe(fingerprint, example)
+                if slot is not None:
+                    per_slot_coverage[slot].observe(fingerprint, example)
+        result.quarantined = queue.quarantined_in_order()
+        stats.quarantined_rounds = len(result.quarantined)
+        if coverage is not None:
+            result.plan_coverage = coverage
+            result.per_thread_plans = [c.distinct
+                                       for c in per_slot_coverage]
+            if self.config.plan_coverage:
+                coverage.dump(self.config.plan_coverage)
+        if self.config.runner.plan_timing:
+            # Built from the per-round outcome dicts — the same records
+            # a journal carries — so live, resumed, and multi-worker
+            # campaigns produce byte-identical archives.
+            result.timing_archive = TimingArchive.from_outcomes(
+                stats.plantime_outcomes)
+            if self.config.timing_archive:
+                result.timing_archive.dump(self.config.timing_archive)
+
     def _fingerprint(self) -> dict:
         from repro.campaigns.journal import JOURNAL_VERSION
 
@@ -327,66 +459,18 @@ class Campaign:
             # silently continue an unguided hunt.  The key is added only
             # when on, keeping journals from before this field resumable.
             fingerprint["guidance"] = True
-        if self.config.multiplan:
+        if self.config.runner.multiplan:
             # Same only-when-on rule: multiplan journals carry multiplan
             # findings and outcome records, so they must not be resumed
             # by (or resume) a plain hunt; off leaves journal bytes
             # identical to a pre-multiplan build.
             fingerprint["multiplan"] = True
-        if self.config.plan_timing:
+        if self.config.runner.plan_timing:
             # Timing journals carry plantime outcomes the resumed
             # archive is rebuilt from; an untimed continuation would
             # silently produce a partial archive.
             fingerprint["plan_timing"] = True
         return fingerprint
-
-    def _run_journaled(self, runner: PQSRunner):
-        """Per-round execution with a durable JSONL journal.
-
-        Each round runs under :func:`~repro.campaigns.journal.round_seed`
-        — an independent derivation from (campaign seed, round index) —
-        so completed rounds loaded from the journal and freshly-run
-        rounds compose into exactly the statistics an uninterrupted run
-        would produce.  Execution is a one-shard fleet: the same
-        :class:`~repro.campaigns.scheduler.RoundQueue` and
-        :class:`~repro.campaigns.executor.RoundExecutor` the parallel
-        campaign runs per worker, driven inline (no supervisor thread),
-        so quarantine and recovery semantics are identical in both modes.
-        """
-        telemetry = self.config.telemetry or NULL_TELEMETRY
-        with CampaignJournal(self.config.journal) as journal:
-            fingerprint = self._fingerprint()
-            state = (journal.load_state(fingerprint)
-                     if self.config.resume else JournalState())
-            journal.start(fingerprint, fresh=state.empty)
-            record_recovery(state.recovery, telemetry,
-                            recovered=len(state.rounds))
-            observe = self.config.observe or NULL_OBSERVATORY
-            queue = RoundQueue(
-                range(self.config.databases), self.config.seed,
-                quarantine_threshold=self.config.quarantine_threshold)
-            queue.preload(state.rounds, state.quarantined)
-            observe.attach_queue(queue)
-            if runner.guidance.enabled:
-                # Guidance replays each journaled round so its seen-set,
-                # pool, and scheduling stream match the original
-                # process exactly (exact for prefix-complete journals;
-                # a corruption gap re-runs only the lost round).
-                for index in sorted(state.rounds):
-                    record = state.rounds[index]
-                    runner.guidance.restore_round(record.seed,
-                                                  record.plans)
-            # The runner counts rounds it actually executes;
-            # journal-loaded rounds still advance the live progress line.
-            telemetry.counter(metric_names.ROUNDS).inc(len(state.rounds))
-            executor = RoundExecutor(
-                0, runner, queue, self.config.seed,
-                journal=journal, telemetry=telemetry,
-                events=observe.events)
-            executor.run_loop()
-        quarantined = queue.quarantined_in_order()
-        stats = stats_from_records(queue.records_in_order(), quarantined)
-        return stats, quarantined, state.recovery
 
     # -- per-report processing ---------------------------------------------
     def _process(self, report: BugReport) -> Optional[BugReport]:

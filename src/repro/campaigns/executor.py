@@ -1,13 +1,14 @@
 """The campaign round executor: one worker's lease-run-journal loop.
 
 An executor owns one :class:`~repro.core.runner.PQSRunner` (its own
-engines, RNG, guidance scheduler, and — under a parallel campaign — its
-own private metrics registry) and drains the shared
+engines, RNG, guidance scheduler, and — with several worker threads —
+its own private metrics registry) and drains the shared
 :class:`~repro.campaigns.scheduler.RoundQueue`: lease a round index,
-derive its campaign-global seed, run it, journal the result, settle the
-lease.  Single-process journaled campaigns run one executor inline (a
-one-shard fleet); :class:`~repro.campaigns.parallel.ParallelCampaign`
-runs one per worker thread under the supervisor.
+derive its campaign-global seed, run it, journal the result (when a
+journal is attached), settle the lease.  A single-threaded
+:class:`~repro.campaigns.campaign.Campaign` runs one executor inline (a
+one-shard fleet); a multi-threaded one runs one per worker thread under
+the supervisor.
 
 Failure handling is deliberately split by blast radius:
 

@@ -23,6 +23,7 @@ import argparse
 import sys
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
+from repro.campaigns.supervisor import SupervisorConfig
 from repro.core.runner import PQSRunner, RunnerConfig
 from repro.errors import DBCrash, DBError, PQSError
 from repro.minidb.bugs import BUG_CATALOG, bugs_for_dialect
@@ -143,9 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the unified campaign event log "
                            "(typed JSONL: round lifecycle, worker "
                            "lifecycle, chaos, bugs, plan novelty) "
-                           "as the hunt runs; per-round events need "
-                           "the round-queue path (--journal or "
-                           "--threads)")
+                           "as the hunt runs")
     hunt.set_defaults(handler=cmd_hunt)
 
     report = sub.add_parser(
@@ -262,39 +261,31 @@ def cmd_hunt(args) -> int:
         return 2
     telemetry, sink = _build_telemetry(args)
     observatory, server = _build_observatory(args, telemetry)
+    # --databases counts rounds per worker.
+    total_rounds = args.databases * max(args.threads, 1)
     reporter = None
     if args.progress > 0:
         from repro.telemetry import ProgressReporter
 
-        total_rounds = args.databases * max(args.threads, 1)
         # The queue's exact settled counts beat registry counters
-        # whenever a queue exists (always in parallel mode, where
-        # workers count in private registries; and under work stealing,
-        # where a duplicate re-run double-counts).  The observatory's
-        # counts() falls through to (0, 0) without a queue, so only
-        # hook it up when one will be attached.
-        counts = None
-        if observatory.enabled and (args.journal or args.threads > 1):
-            counts = observatory.counts
+        # whenever the observatory holds it (parallel workers count in
+        # private registries, and under work stealing a duplicate
+        # re-run double-counts).
+        counts = observatory.counts if observatory.enabled else None
         reporter = ProgressReporter(telemetry.registry, total_rounds,
                                     interval=args.progress,
                                     counts=counts).start()
-    if getattr(args, "events", None) and not (args.journal
-                                              or args.threads > 1):
-        # The bulk serial path has no per-round boundary (sequential
-        # RNG by design); only the round-queue path emits round events.
-        print("[pqs] note: --events without --journal/--threads logs "
-              "campaign lifecycle only (per-round events need the "
-              "round-queue path)", file=sys.stderr)
-    observatory.events.emit("campaign_start",
-                            databases=args.databases * max(args.threads, 1),
+    observatory.events.emit("campaign_start", databases=total_rounds,
                             threads=args.threads)
+    chaos = None
+    if args.chaos_seed is not None:
+        from repro.campaigns.chaos import ChaosPolicy
+
+        chaos = ChaosPolicy(seed=args.chaos_seed)
     try:
-        if args.threads > 1:
-            return _hunt_parallel(args, bug_ids, telemetry, observatory)
         config = CampaignConfig(
             dialect=args.dialect, seed=args.seed,
-            databases=args.databases, bug_ids=bug_ids,
+            databases=total_rounds, bug_ids=bug_ids,
             reduce=not args.no_reduce,
             journal=args.journal, resume=args.resume,
             telemetry=telemetry,
@@ -302,12 +293,18 @@ def cmd_hunt(args) -> int:
             guidance=args.guidance,
             plan_coverage=args.plan_coverage,
             quarantine_threshold=args.quarantine_threshold,
-            multiplan=args.multiplan,
-            plan_timing=args.plan_timing,
-            timing_repeats=args.timing_repeats,
-            regression_ratio=args.regression_ratio,
             timing_archive=args.timing_archive,
-            batch_size=args.batch_size)
+            runner=RunnerConfig(
+                multiplan=args.multiplan,
+                plan_timing=args.plan_timing,
+                plan_timing_repeats=args.timing_repeats,
+                plan_regression_ratio=args.regression_ratio,
+                batch_size=args.batch_size),
+            threads=args.threads,
+            supervisor=SupervisorConfig(
+                max_worker_restarts=args.max_worker_restarts,
+                stall_timeout=args.stall_timeout),
+            chaos=chaos)
         result = Campaign(config).run()
     except PQSError as error:
         print(f"error: {error}")
@@ -326,55 +323,9 @@ def cmd_hunt(args) -> int:
                       coverage=result.plan_coverage,
                       recovery=result.recovery)
     _print_timing_archive(args, result.timing_archive)
-    _print_quarantine(result.harness_reports())
-    for report in result.reports:
-        print(f"\n[{report.oracle.value}] {report.message} "
-              f"(triage: {report.triage})")
-        print(f"  defect: {', '.join(report.attributed_bugs)}")
-        for statement in report.test_case.statements:
-            print(f"    {statement};")
-    print(f"\ndetected {len(result.detected_bug_ids)} distinct "
-          f"defect(s) in {len(result.reports)} report(s)")
-    return 0
-
-
-def _hunt_parallel(args, bug_ids, telemetry, observatory) -> int:
-    from repro.campaigns.parallel import (
-        ParallelCampaign,
-        ParallelCampaignConfig,
-    )
-
-    chaos = None
-    if args.chaos_seed is not None:
-        from repro.campaigns.chaos import ChaosPolicy
-
-        chaos = ChaosPolicy(seed=args.chaos_seed)
-    config = ParallelCampaignConfig(
-        dialect=args.dialect, seed=args.seed, threads=args.threads,
-        databases_per_thread=args.databases, bug_ids=bug_ids,
-        reduce=not args.no_reduce, journal=args.journal,
-        resume=args.resume,
-        telemetry=(telemetry if telemetry.enabled else None),
-        observe=observatory if observatory.enabled else None,
-        guidance=args.guidance, plan_coverage=args.plan_coverage,
-        max_worker_restarts=args.max_worker_restarts,
-        stall_timeout=args.stall_timeout,
-        quarantine_threshold=args.quarantine_threshold,
-        multiplan=args.multiplan,
-        plan_timing=args.plan_timing,
-        timing_repeats=args.timing_repeats,
-        regression_ratio=args.regression_ratio,
-        timing_archive=args.timing_archive,
-        batch_size=args.batch_size,
-        chaos=chaos)
-    result = ParallelCampaign(config).run()
-    _write_metrics(args, telemetry, result.stats)
-    _print_hunt_stats(result.stats, telemetry,
-                      coverage=result.plan_coverage,
-                      recovery=result.recovery)
-    _print_timing_archive(args, result.timing_archive)
-    for index, count in enumerate(result.per_thread_rounds):
-        print(f"worker {index}: {count} round(s)")
+    if args.threads > 1:
+        for index, count in enumerate(result.per_thread_rounds):
+            print(f"worker {index}: {count} round(s)")
     supervision = result.supervision
     if supervision.restarts or supervision.stalls:
         print(f"supervision: {supervision.restarts} restart(s), "
@@ -388,9 +339,17 @@ def _hunt_parallel(args, bug_ids, telemetry, observatory) -> int:
     _print_quarantine(result.harness_reports())
     for summary in result.worker_errors:
         print(f"FAILED {summary}")
-    print(f"\ndetected {len(result.detected_bug_ids)} distinct "
-          f"defect(s) in {len(result.reports)} report(s) across "
-          f"{args.threads} worker(s)")
+    for report in result.reports:
+        print(f"\n[{report.oracle.value}] {report.message} "
+              f"(triage: {report.triage})")
+        print(f"  defect: {', '.join(report.attributed_bugs)}")
+        for statement in report.test_case.statements:
+            print(f"    {statement};")
+    summary = (f"\ndetected {len(result.detected_bug_ids)} distinct "
+               f"defect(s) in {len(result.reports)} report(s)")
+    if args.threads > 1:
+        summary += f" across {args.threads} worker(s)"
+    print(summary)
     return 0
 
 

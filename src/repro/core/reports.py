@@ -190,6 +190,22 @@ class RunStatistics:
     def statements_per_second(self) -> float:
         return self.statements / self.seconds if self.seconds > 0 else 0.0
 
+    def add_round(self, round_) -> None:
+        """Fold one database round into these totals.  *round_* is a
+        live :class:`~repro.core.runner.DatabaseRound` or a journaled
+        :class:`~repro.campaigns.journal.RoundRecord`; both carry the
+        same per-round fields."""
+        self.databases += 1
+        self.statements += round_.statements
+        self.queries += round_.queries
+        self.pivots += round_.pivots
+        self.expected_errors += round_.expected_errors
+        self.timeouts += round_.timeouts
+        self.seconds += round_.seconds
+        self.absorb_multiplan(round_.multiplan)
+        self.absorb_plantime(round_.plantime)
+        self.reports.extend(round_.reports)
+
     def absorb_multiplan(self, outcome: dict) -> None:
         """Fold one round's multi-plan outcome dict (the shape
         :meth:`repro.multiplan.oracle.MultiPlanOracle.take_round_outcome`

@@ -178,23 +178,14 @@ class PQSRunner:
     def run(self, databases: int = 10) -> RunStatistics:
         stats = RunStatistics()
         for _ in range(databases):
-            round_ = self.run_database_round()
-            stats.databases += 1
-            stats.statements += round_.statements
-            stats.queries += round_.queries
-            stats.pivots += round_.pivots
-            stats.expected_errors += round_.expected_errors
-            stats.timeouts += round_.timeouts
-            stats.seconds += round_.seconds
-            stats.absorb_multiplan(round_.multiplan)
-            stats.absorb_plantime(round_.plantime)
-            stats.reports.extend(round_.reports)
+            stats.add_round(self.run_database_round())
         return stats
 
     def reseed(self, seed: int) -> None:
-        """Reset the random stream mid-run (journaled campaigns derive an
-        independent seed per database so an interrupted hunt can resume
-        at any round without replaying the rounds before it)."""
+        """Reset the random stream mid-run (campaigns derive an
+        independent seed per database so any worker can run any round,
+        and an interrupted hunt can resume at any round without
+        replaying the rounds before it)."""
         self.config.seed = seed
         self.rng = RandomSource(seed)
 

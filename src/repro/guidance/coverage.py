@@ -7,8 +7,8 @@ query that produced it — invaluable when triaging what a fingerprint
 
 * journaled campaigns persist per-round novel plans and ``--resume``
   rebuilds the seen-set without re-running rounds;
-* :class:`~repro.campaigns.parallel.ParallelCampaign` merges per-worker
-  coverage into one campaign-wide set;
+* a multi-threaded :class:`~repro.campaigns.campaign.Campaign` merges
+  per-worker coverage into one campaign-wide set;
 * ``hunt --plan-coverage PATH`` dumps the final set for offline
   analysis.
 """

@@ -17,8 +17,6 @@ classes (with ``^`` negation and ``a-z`` ranges), always case-sensitive.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 def _ascii_fold(c: str) -> str:
     if "A" <= c <= "Z":
@@ -140,10 +138,3 @@ def _match_class(ch: str, pat: str, pi: int) -> tuple[bool, int]:
     if i >= n:
         return False, n  # unterminated class
     return matched != negate, i + 1
-
-
-@lru_cache(maxsize=4096)
-def like_match_cached(text: str, pattern: str, case_sensitive: bool,
-                      escape: str | None) -> bool:
-    """Memoized LIKE used by hot engine paths (same inputs recur in scans)."""
-    return like_match(text, pattern, case_sensitive, escape)

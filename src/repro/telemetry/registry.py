@@ -13,8 +13,8 @@ hunt counts what it does.  Design constraints, in order:
    methods are empty — instrumented-but-off code stays within noise of
    uninstrumented code.
 2. **Thread safety.**  Each instrument carries its own lock;
-   :class:`~repro.campaigns.parallel.ParallelCampaign` workers may share
-   a registry or merge per-worker snapshots (:meth:`MetricsRegistry
+   multi-threaded :class:`~repro.campaigns.campaign.Campaign` workers
+   may share a registry or merge per-worker snapshots (:meth:`MetricsRegistry
    .merge_snapshot`), both of which must be race-free.
 3. **Exportability.**  ``snapshot()`` is plain JSON (round-trippable via
    :meth:`MetricsRegistry.from_snapshot`); ``to_prometheus()`` renders

@@ -140,11 +140,43 @@ class TestPrimaryAttribution:
 
 class TestConfig:
     def test_runner_inherits_dialect_and_seed(self):
-        config = CampaignConfig(dialect="mysql", seed=9)
-        assert config.runner.dialect == "mysql"
-        assert config.runner.seed == 9
+        runner = Campaign(CampaignConfig(dialect="mysql",
+                                         seed=9)).build_runner()
+        assert runner.config.dialect == "mysql"
+        assert runner.config.seed == 9
 
     def test_default_bug_ids_cover_dialect(self):
         campaign = Campaign(CampaignConfig(dialect="mysql"))
         assert all(b.startswith("mysql-") for b in campaign.bugs.enabled)
         assert len(campaign.bugs.enabled) >= 5
+
+
+class TestOneRoundStream:
+    """Every campaign drains the same round queue under ``round_seed``,
+    so the journal is only a sink and the thread count only a schedule:
+    one config run three ways must agree on everything but wall clock."""
+
+    @staticmethod
+    def comparable(result):
+        import dataclasses
+
+        stats = dataclasses.asdict(result.stats)
+        stats.pop("seconds")
+        for report in stats["reports"]:
+            report.pop("seconds", None)
+        reports = [(r.fingerprint(), r.attributed_bugs, r.triage,
+                    r.oracle) for r in result.reports]
+        return stats, reports
+
+    def test_unjournaled_journaled_and_threaded_agree(self, tmp_path):
+        config = dict(dialect="sqlite", seed=42, databases=12)
+        plain = Campaign(CampaignConfig(**config)).run()
+        journaled = Campaign(CampaignConfig(
+            journal=str(tmp_path / "hunt.jsonl"), **config)).run()
+        threaded = Campaign(CampaignConfig(threads=3, **config)).run()
+        assert plain.reports, "the config must produce findings"
+        assert all(r.reduced for r in plain.reports)
+        expected = self.comparable(plain)
+        assert self.comparable(journaled) == expected
+        assert self.comparable(threaded) == expected
+        assert sum(threaded.per_thread_rounds) == 12

@@ -8,12 +8,10 @@ must be identical across thread counts, work-stealing schedules, and
 chaos injections, exactly like the campaign results themselves.
 """
 
+from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.chaos import ChaosPolicy
 from repro.campaigns.journal import round_seed
-from repro.campaigns.parallel import (
-    ParallelCampaign,
-    ParallelCampaignConfig,
-)
+from repro.campaigns.supervisor import SupervisorConfig
 from repro.observe import (
     EventLog,
     Observatory,
@@ -28,18 +26,20 @@ TOTAL = 12
 
 
 def hunt(threads, per_thread, journal=None, chaos=None,
-         telemetry=None, **overrides):
+         telemetry=None, max_worker_restarts=2, plan_coverage=None):
     events = EventLog(campaign_id("sqlite", SEED))
     observatory = Observatory(campaign=events.campaign,
                               dialect="sqlite", seed=SEED,
                               total_rounds=threads * per_thread,
                               events=events)
-    config = ParallelCampaignConfig(
+    config = CampaignConfig(
         dialect="sqlite", seed=SEED, threads=threads,
-        databases_per_thread=per_thread, reduce=False,
+        databases=threads * per_thread, reduce=False,
         journal=journal, chaos=chaos, observe=observatory,
-        telemetry=telemetry, **overrides)
-    result = ParallelCampaign(config).run()
+        telemetry=telemetry, plan_coverage=plan_coverage,
+        supervisor=SupervisorConfig(
+            max_worker_restarts=max_worker_restarts))
+    result = Campaign(config).run()
     return result, events.events()
 
 

@@ -6,24 +6,26 @@ from __future__ import annotations
 import pytest
 
 from repro.campaigns.campaign import Campaign, CampaignConfig
-from repro.campaigns.parallel import ParallelCampaign, ParallelCampaignConfig
 from repro.core.reports import Oracle
+from repro.core.runner import RunnerConfig
 from repro.errors import PQSError
 from repro.multiplan import MultiPlanReplayer, PlannerHints
 from repro.observe.report import build_report
 
 BUG = "sqlite-forced-index-fencepost"
 
-#: Seed whose *journaled* round stream (``round_seed`` derivation)
-#: trips the fencepost defect; the unjournaled tests use seed 0.
+#: Seed whose round stream (``round_seed`` derivation) trips the
+#: fencepost defect within the default three rounds.
 JOURNAL_SEED = 1
 
 
-def config(**kw):
+def config(multiplan=False, **kw):
     kw.setdefault("seed", 0)
     kw.setdefault("databases", 3)
     kw.setdefault("reduce", False)
-    return CampaignConfig(**kw)
+    return CampaignConfig(
+        runner=RunnerConfig(multiplan=multiplan),
+        **kw)
 
 
 def normalized(path):
@@ -43,7 +45,8 @@ def normalized(path):
 
 class TestDetection:
     def test_campaign_detects_the_planner_defect(self):
-        result = Campaign(config(multiplan=True, bug_ids=[BUG])).run()
+        result = Campaign(config(seed=JOURNAL_SEED, multiplan=True,
+                                 bug_ids=[BUG])).run()
         assert any(BUG in r.attributed_bugs for r in result.reports)
         report = next(r for r in result.reports
                       if r.oracle is Oracle.MULTIPLAN)
@@ -124,16 +127,15 @@ class TestJournalAndResume:
         assert normalized(journal) == reference
 
     def test_parallel_campaign_counts_multiplan(self):
-        result = ParallelCampaign(ParallelCampaignConfig(
-            seed=0, threads=2, databases_per_thread=2, reduce=False,
-            bug_ids=[BUG], multiplan=True)).run()
+        result = Campaign(config(threads=2, databases=4, bug_ids=[BUG],
+                                 multiplan=True)).run()
         assert result.stats.multiplan_queries > 0
 
 
 class TestReductionPreservesForcing:
     def test_reduced_case_still_diverges_under_the_same_hints(self):
-        result = Campaign(config(multiplan=True, bug_ids=[BUG],
-                                 reduce=True)).run()
+        result = Campaign(config(seed=JOURNAL_SEED, multiplan=True,
+                                 bug_ids=[BUG], reduce=True)).run()
         report = next(r for r in result.reports
                       if r.oracle is Oracle.MULTIPLAN)
         assert BUG in report.attributed_bugs

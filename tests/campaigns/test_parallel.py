@@ -9,20 +9,29 @@ survivors' results; total fleet death surfaces the real exception).
 
 import pytest
 
+from repro.campaigns.campaign import Campaign, CampaignConfig
 from repro.campaigns.executor import RoundExecutor
 from repro.campaigns.journal import round_seed
-from repro.campaigns.parallel import (
-    ParallelCampaign,
-    ParallelCampaignConfig,
-)
+from repro.campaigns.supervisor import SupervisorConfig
+
+
+def run_fleet(threads, databases_per_thread, max_worker_restarts=2,
+              restart_backoff=0.05, **config):
+    """A campaign of *threads* workers, *databases_per_thread* rounds
+    each (the ``hunt --threads`` convention)."""
+    return Campaign(CampaignConfig(
+        threads=threads, databases=threads * databases_per_thread,
+        supervisor=SupervisorConfig(
+            max_worker_restarts=max_worker_restarts,
+            restart_backoff=restart_backoff),
+        **config)).run()
 
 
 class TestParallelCampaign:
     def test_merges_thread_results(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=42,
-                                        threads=3,
-                                        databases_per_thread=25)
-        result = ParallelCampaign(config).run()
+        result = run_fleet(dialect="sqlite", seed=42,
+                           threads=3,
+                           databases_per_thread=25)
         assert len(result.per_thread_rounds) == 3
         assert sum(result.per_thread_rounds) == 75
         assert result.stats.databases == 75
@@ -31,19 +40,17 @@ class TestParallelCampaign:
             assert report.attributed_bugs
 
     def test_max_reports_per_bug_global(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=42,
-                                        threads=3,
-                                        databases_per_thread=25,
-                                        max_reports_per_bug=1)
-        result = ParallelCampaign(config).run()
+        result = run_fleet(dialect="sqlite", seed=42,
+                           threads=3,
+                           databases_per_thread=25,
+                           max_reports_per_bug=1)
         primaries = [r.attributed_bugs[0] for r in result.reports]
         assert len(primaries) == len(set(primaries))
 
     def test_duplicate_triage_across_threads(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=42,
-                                        threads=3,
-                                        databases_per_thread=25)
-        result = ParallelCampaign(config).run()
+        result = run_fleet(dialect="sqlite", seed=42,
+                           threads=3,
+                           databases_per_thread=25)
         by_bug = {}
         for report in result.reports:
             by_bug.setdefault(report.attributed_bugs[0],
@@ -52,11 +59,10 @@ class TestParallelCampaign:
             assert all(r.triage == "duplicate" for r in reports[1:])
 
     def test_rounds_use_campaign_global_seeds(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=0,
-                                        threads=2,
-                                        databases_per_thread=3,
-                                        reduce=False)
-        result = ParallelCampaign(config).run()
+        result = run_fleet(dialect="sqlite", seed=0,
+                           threads=2,
+                           databases_per_thread=3,
+                           reduce=False)
         assert result.stats.statements > 0
         assert result.stats.queries > 0
         # Every report's seed must be one of the campaign's round
@@ -67,10 +73,9 @@ class TestParallelCampaign:
 
     def test_thread_count_does_not_change_results(self):
         def run(threads, per_thread):
-            config = ParallelCampaignConfig(
+            return run_fleet(
                 dialect="sqlite", seed=13, threads=threads,
                 databases_per_thread=per_thread, reduce=False)
-            return ParallelCampaign(config).run()
 
         a = run(2, 6)
         b = run(3, 4)
@@ -115,8 +120,7 @@ class TestGracefulDegradation:
         # off that slot is retired, the lease is stolen, and a survivor
         # completes the round — nothing is lost.
         self._kill_worker_rounds(monkeypatch, {0})
-        result = ParallelCampaign(
-            ParallelCampaignConfig(**self.CONFIG)).run()
+        result = run_fleet(**self.CONFIG)
         assert result.stats.databases == 30, \
             "a dead worker's leased round must be requeued, not lost"
         assert len(result.worker_errors) == 1
@@ -129,8 +133,7 @@ class TestGracefulDegradation:
         self._kill_worker_rounds(monkeypatch, set(range(30)),
                                  every_attempt=True)
         with pytest.raises(RuntimeError):
-            ParallelCampaign(
-                ParallelCampaignConfig(**self.CONFIG)).run()
+            run_fleet(**self.CONFIG)
 
     def test_restart_budget_recovers_worker_deaths(self, monkeypatch):
         # Three lethal first attempts, one restart per slot: the fleet
@@ -138,18 +141,16 @@ class TestGracefulDegradation:
         self._kill_worker_rounds(monkeypatch, {0, 1, 2})
         config = dict(self.CONFIG)
         config.update(max_worker_restarts=1, restart_backoff=0.0)
-        result = ParallelCampaign(
-            ParallelCampaignConfig(**config)).run()
+        result = run_fleet(**config)
         assert result.stats.databases == 30
         assert result.supervision.restarts >= 1
         assert len(result.worker_errors) == 3
 
     def test_no_failures_reports_none(self):
-        config = ParallelCampaignConfig(dialect="sqlite", seed=42,
-                                        threads=2,
-                                        databases_per_thread=5,
-                                        reduce=False)
-        result = ParallelCampaign(config).run()
+        result = run_fleet(dialect="sqlite", seed=42,
+                           threads=2,
+                           databases_per_thread=5,
+                           reduce=False)
         assert result.worker_errors == []
         assert result.supervision.restarts == 0
 
@@ -157,12 +158,9 @@ class TestGracefulDegradation:
 class TestParallelJournal:
     def test_single_shared_journal_written(self, tmp_path):
         path = tmp_path / "hunt.jsonl"
-        config = ParallelCampaignConfig(dialect="sqlite", seed=9,
-                                        threads=2,
-                                        databases_per_thread=4,
-                                        reduce=False,
-                                        journal=str(path))
-        ParallelCampaign(config).run()
+        run_fleet(dialect="sqlite", seed=9, threads=2,
+                  databases_per_thread=4, reduce=False,
+                  journal=str(path))
         assert path.exists()
         import json
 
@@ -174,11 +172,10 @@ class TestParallelJournal:
 
     def test_parallel_resume_matches_uninterrupted(self, tmp_path):
         def run(journal, resume=False, threads=2):
-            config = ParallelCampaignConfig(
+            return run_fleet(
                 dialect="sqlite", seed=9, threads=threads,
                 databases_per_thread=12 // threads, reduce=False,
                 journal=str(journal), resume=resume)
-            return ParallelCampaign(config).run()
 
         full = run(tmp_path / "full.jsonl")
         # Interrupt: keep the header plus the first 5 journaled rounds.
@@ -197,11 +194,10 @@ class TestParallelJournal:
         path = tmp_path / "hunt.jsonl"
 
         def run(resume=False):
-            config = ParallelCampaignConfig(
+            return run_fleet(
                 dialect="sqlite", seed=9, threads=2,
                 databases_per_thread=3, reduce=False,
                 journal=str(path), resume=resume)
-            return ParallelCampaign(config).run()
 
         run()
         executed = []

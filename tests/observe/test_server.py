@@ -6,10 +6,8 @@ import urllib.request
 
 import pytest
 
-from repro.campaigns.parallel import (
-    ParallelCampaign,
-    ParallelCampaignConfig,
-)
+from repro.campaigns.campaign import Campaign, CampaignConfig
+from repro.core.runner import RunnerConfig
 from repro.errors import PQSError
 from repro.observe import EventLog, Observatory, StatusServer, parse_address
 from repro.telemetry import MetricsRegistry, names
@@ -159,12 +157,12 @@ class TestLiveCampaign:
         events = EventLog("sqlite-s5")
         observatory = Observatory(campaign="sqlite-s5", dialect="sqlite",
                                   seed=5, total_rounds=8, events=events)
-        config = ParallelCampaignConfig(
-            dialect="sqlite", seed=5, threads=2,
-            databases_per_thread=4, reduce=False, observe=observatory,
-            multiplan=True, plan_timing=True)
+        config = CampaignConfig(
+            dialect="sqlite", seed=5, threads=2, databases=8,
+            reduce=False, observe=observatory,
+            runner=RunnerConfig(multiplan=True, plan_timing=True))
         with StatusServer(observatory, port=0) as server:
-            campaign = ParallelCampaign(config)
+            campaign = Campaign(config)
             results = {}
 
             def hunt():
