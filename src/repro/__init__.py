@@ -28,34 +28,29 @@ Quick start::
         print(report.test_case.render())
 """
 
-from repro.adapters import (
-    DBMSConnection,
-    FaultPlan,
-    FaultyFactory,
-    MiniDBConnection,
-    SQLite3Connection,
-    SubprocessConfig,
-    SubprocessConnection,
-)
-from repro.campaigns import Campaign, CampaignConfig, CampaignResult
-from repro.core import (
-    BugReport,
-    Oracle,
-    PQSRunner,
-    RunnerConfig,
-    TestCase,
-    TestCaseReducer,
-)
-from repro.errors import (
-    DBCrash,
-    DBError,
-    DBTimeout,
-    HarnessError,
-    PQSError,
-)
-from repro.minidb import BUG_CATALOG, BugRegistry, Engine, ResultSet
-from repro.telemetry import MetricsRegistry, Telemetry, Tracer
-from repro.values import Value
+from repro import _lazy
+
+#: Every re-exported name and the module that defines it, imported on
+#: first use so a process needing one part of the package pays for
+#: that part only.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("DBMSConnection", "FaultPlan", "FaultyFactory", "MiniDBConnection",
+         "SQLite3Connection", "SubprocessConfig", "SubprocessConnection"),
+        "repro.adapters"),
+    **dict.fromkeys(("Campaign", "CampaignConfig", "CampaignResult"),
+                    "repro.campaigns"),
+    **dict.fromkeys(("BugReport", "Oracle", "PQSRunner", "RunnerConfig",
+                     "TestCase", "TestCaseReducer"), "repro.core"),
+    **dict.fromkeys(("DBCrash", "DBError", "DBTimeout", "HarnessError",
+                     "PQSError"), "repro.errors"),
+    **dict.fromkeys(("BUG_CATALOG", "BugRegistry", "Engine", "ResultSet"),
+                    "repro.minidb"),
+    **dict.fromkeys(("MetricsRegistry", "Telemetry", "Tracer"),
+                    "repro.telemetry"),
+    "Value": "repro.values",
+}
+__getattr__, __dir__ = _lazy.exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

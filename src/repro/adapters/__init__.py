@@ -15,14 +15,19 @@ crash/hang/error plans for exercising that machinery (and all three
 oracles) on demand.
 """
 
-from repro.adapters.base import DBMSConnection, execute_batch
-from repro.adapters.faults import FaultPlan, FaultyConnection, FaultyFactory
-from repro.adapters.minidb_adapter import MiniDBConnection
-from repro.adapters.sqlite3_adapter import SQLite3Connection
-from repro.adapters.subprocess_adapter import (
-    SubprocessConfig,
-    SubprocessConnection,
-)
+from repro import _lazy
+
+_EXPORTS = {
+    **dict.fromkeys(("DBMSConnection", "execute_batch"),
+                    "repro.adapters.base"),
+    **dict.fromkeys(("FaultPlan", "FaultyConnection", "FaultyFactory"),
+                    "repro.adapters.faults"),
+    "MiniDBConnection": "repro.adapters.minidb_adapter",
+    "SQLite3Connection": "repro.adapters.sqlite3_adapter",
+    **dict.fromkeys(("SubprocessConfig", "SubprocessConnection"),
+                    "repro.adapters.subprocess_adapter"),
+}
+__getattr__, __dir__ = _lazy.exports(__name__, _EXPORTS)
 
 __all__ = [
     "DBMSConnection",

@@ -24,7 +24,18 @@ process boundary in pure stdlib Python:
 * after a crash or timeout the harness transparently **restarts** the
   worker and **replays** the log of previously-successful statements to
   restore database state, under a bounded retry budget with exponential
-  backoff (:class:`~repro.errors.HarnessError` when exhausted).
+  backoff (:class:`~repro.errors.HarnessError` when exhausted);
+* :meth:`SubprocessConnection.close` does not end a healthy worker: it
+  sends ``reset``, the worker closes its target and acks, and the live
+  process is **parked** in this module's idle list.  The next
+  connection sends its ``hello`` to a parked worker and starts a new
+  Python process only when none is left (or the parked one fails its
+  hello, which is neither a restart nor a charge on the retry budget).
+  A worker that crashed, timed out, replied ``fatal`` or failed its
+  reset is killed and reaped, never parked, so a crashed round's
+  process cannot carry state into the next one.  An ``atexit`` hook
+  closes and reaps every worker the process still holds, and a forked
+  child forgets the parent's workers without writing to their pipes.
 
 Replay assumes the target executes statements deterministically — true
 for SQLite, MiniDB and every fault-plan wrapper in this repo.  A
@@ -36,12 +47,14 @@ deterministic fault does not re-fire forever.
 
 from __future__ import annotations
 
+import atexit
 import os
 import select
 import signal
 import struct
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -152,6 +165,8 @@ class SubprocessConnection:
         t = self.telemetry
         self._metered = t.registry.enabled
         self._m_restarts = t.counter(metric_names.WORKER_RESTARTS)
+        self._m_reuses = t.counter(metric_names.WORKER_REUSES)
+        self._m_spawn = t.histogram(metric_names.WORKER_SPAWN_SECONDS)
         self._m_watchdog = t.counter(metric_names.WATCHDOG_KILLS)
         self._m_replay = t.histogram(metric_names.REPLAY_STATEMENTS,
                                      buckets=metric_names.COUNT_BUCKETS)
@@ -254,7 +269,7 @@ class SubprocessConnection:
                 return outcomes
             if "crash" in reply:
                 message = reply["crash"]
-                self._drain_dead_worker()
+                self._release(kill=False)
                 outcomes.append(("crash", DBCrash(message)))
                 return outcomes
             self._kill()
@@ -311,17 +326,28 @@ class SubprocessConnection:
         return self._interpret(reply)
 
     def close(self) -> None:
+        """End the target connection and park the worker for reuse.
+
+        The worker closes its target and acks ``reset``; only a worker
+        that acked is parked.  Any other reply, or none within the
+        deadline, gets it killed and reaped instead.
+        """
+        if self._proc is None:
+            return
+        try:
+            acked = self._request({"op": "reset"},
+                                  _CLOSE_TIMEOUT) == _RESET_ACK
+        except Exception:
+            # Whatever went wrong, the worker is not known to be clean.
+            acked = False
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        try:
-            write_frame(proc.stdin, {"op": "close"})
-            proc.wait(timeout=5)
-        except Exception:
-            proc.kill()
-            proc.wait()
-        finally:
-            _close_pipes(proc)
+        if acked:
+            with _pool_lock:
+                _idle.append(proc)
+        else:
+            _retire(proc, kill=True)
 
     # -- introspection ------------------------------------------------------
     @property
@@ -359,15 +385,26 @@ class SubprocessConnection:
                            self.config.backoff_factor ** (failures - 1))
 
     def _spawn(self) -> None:
-        src_dir = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (src_dir if not existing
-                             else src_dir + os.pathsep + existing)
-        self._proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.adapters.subprocess_worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, env=env)
+        """Send the hello to a parked worker, or to a new one."""
+        with _pool_lock:
+            self._proc = _idle.pop() if _idle else None
+        if self._proc is not None:
+            try:
+                self._hello()
+            except (_WorkerDied, _DeadlineExceeded, EOFError, OSError):
+                # A parked worker that cannot take a hello is replaced;
+                # that is not a restart and costs no retry budget.
+                self._release(kill=True)
+            else:
+                self._m_reuses.inc()
+                return
+        t0 = time.monotonic() if self._metered else 0.0
+        self._proc = _start_worker()
+        self._hello()
+        if self._metered:
+            self._m_spawn.observe(time.monotonic() - t0)
+
+    def _hello(self) -> None:
         hello = {"op": "hello", "factory": self.factory,
                  "offset": self._fresh}
         if self._offer_rowset:
@@ -424,7 +461,7 @@ class SubprocessConnection:
             # The worker announced a simulated crash and is exiting; reap
             # it so the next execute() triggers restore.
             message = reply["crash"]
-            self._drain_dead_worker()
+            self._release(kill=False)
             raise DBCrash(message)
         if "fatal" in reply:
             self._kill()
@@ -474,36 +511,90 @@ class SubprocessConnection:
     # -- worker lifecycle ---------------------------------------------------
     def _reap(self, during: str) -> _WorkerDied:
         """The child is gone; collect its exit status into a message."""
-        proc, self._proc = self._proc, None
-        code: Optional[int] = None
-        if proc is not None:
-            try:
-                code = proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                code = proc.wait()
-            _close_pipes(proc)
+        code = self._release(kill=False)
         return _WorkerDied(
             f"target worker died during {during} ({_describe_exit(code)})")
 
-    def _drain_dead_worker(self) -> None:
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        _close_pipes(proc)
-
     def _kill(self) -> None:
+        self._release(kill=True)
+
+    def _release(self, kill: bool) -> Optional[int]:
+        """Reap this connection's worker, never to be parked."""
         proc, self._proc = self._proc, None
-        if proc is None:
-            return
+        return None if proc is None else _retire(proc, kill)
+
+
+# -- the worker pool -----------------------------------------------------------
+#: Deadline for a worker to ack ``reset``, or to exit once told to.
+_CLOSE_TIMEOUT = 5.0
+#: The worker's reply to ``reset``; nothing else gets a worker parked.
+_RESET_ACK = {"reset": "ok"}
+
+_pool_lock = threading.Lock()
+#: Workers that acked ``reset`` and wait for their next hello.
+_idle: list[subprocess.Popen] = []
+#: Every worker this process started and has not reaped, parked or in
+#: use; the exit hook closes them all.
+_live: set[subprocess.Popen] = set()
+
+
+def _start_worker() -> subprocess.Popen:
+    src_dir = str(Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (src_dir if not existing
+                         else src_dir + os.pathsep + existing)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.adapters.subprocess_worker"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, env=env)
+    with _pool_lock:
+        _live.add(proc)
+    return proc
+
+
+def _retire(proc: subprocess.Popen, kill: bool) -> Optional[int]:
+    """Kill *proc* if asked, reap it and close its pipes; return its
+    exit status.  One that outlives the close deadline is killed."""
+    if kill:
         proc.kill()
-        proc.wait()
-        _close_pipes(proc)
+    try:
+        code = proc.wait(timeout=_CLOSE_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        code = proc.wait()
+    _close_pipes(proc)
+    with _pool_lock:
+        _live.discard(proc)
+    return code
+
+
+def _close_all_workers() -> None:
+    """At interpreter exit: tell every worker still held to exit, parked
+    or in use, then reap it, so none is left for init to collect."""
+    with _pool_lock:
+        procs = list(_live)
+        _idle.clear()
+    for proc in procs:
+        try:
+            write_frame(proc.stdin, {"op": "close"})
+        except (OSError, ValueError):
+            pass  # already gone; the wait below reaps it
+    for proc in procs:
+        _retire(proc, kill=False)
+
+
+def _forget_workers() -> None:
+    """In a forked child: the parent's workers are not this process's to
+    close, so drop them without writing to their pipes."""
+    global _pool_lock
+    _pool_lock = threading.Lock()
+    _idle.clear()
+    _live.clear()
+
+
+atexit.register(_close_all_workers)
+os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _close_pipes(proc: subprocess.Popen) -> None:

@@ -1,6 +1,7 @@
 """Child-process entrypoint for :class:`SubprocessConnection`.
 
-Runs one target connection and serves the pipe protocol:
+Serves the pipe protocol for one target connection at a time, and for
+as many in turn as the parent sends hellos:
 
 * ``hello``   — unpickle the connection factory, instantiate the target
   (passing ``offset=`` when the factory advertises ``accepts_offset``),
@@ -25,7 +26,16 @@ Runs one target connection and serves the pipe protocol:
 * ``query_plan`` / ``with_plan`` / ``index_candidates`` — optional
   introspection hooks, forwarded when the target offers them and
   answered with an ``UnsupportedError`` reply otherwise;
-* ``close``   — close the target and exit 0.
+* ``reset``   — close the target, reply ``{"reset": "ok"}`` and wait
+  for the next ``hello``: the parent parks this process and hands it
+  its next connection instead of starting a new one;
+* ``close``   — close the target (if any) and exit 0, whether it comes
+  in place of a hello or between statements.
+
+End of input ends the worker in every state, so a worker whose parent
+died exits at once.  Anything that ends a target other than ``reset``
+— a simulated crash, a ``fatal`` reply — ends the process too, so the
+parent never parks a worker a fault has touched.
 
 Any non-DBError exception from the target is a tool bug: it is reported
 as ``{"fatal": traceback}`` so the parent can raise
@@ -49,24 +59,35 @@ CRASH_EXIT_CODE = 139
 def main() -> int:
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
-    try:
-        hello = read_frame(stdin)
-    except EOFError:
-        return 0
-    factory = hello["factory"]
-    try:
-        if getattr(factory, "accepts_offset", False):
-            connection = factory(offset=hello.get("offset", 0))
-        else:
-            connection = factory()
-    except Exception:
-        write_frame(stdout, {"fatal": traceback.format_exc()})
-        return 1
-    use_rowset = wire.ROWSET_NAME in hello.get("wire", ())
-    greeting = {"dialect": getattr(connection, "dialect", "sqlite")}
-    if use_rowset:
-        greeting["wire"] = wire.ROWSET_NAME
-    write_frame(stdout, greeting)
+    while True:
+        try:
+            hello = read_frame(stdin)
+        except EOFError:
+            return 0
+        if hello.get("op") == "close":
+            return 0
+        factory = hello["factory"]
+        try:
+            if getattr(factory, "accepts_offset", False):
+                connection = factory(offset=hello.get("offset", 0))
+            else:
+                connection = factory()
+        except Exception:
+            write_frame(stdout, {"fatal": traceback.format_exc()})
+            return 1
+        use_rowset = wire.ROWSET_NAME in hello.get("wire", ())
+        greeting = {"dialect": getattr(connection, "dialect", "sqlite")}
+        if use_rowset:
+            greeting["wire"] = wire.ROWSET_NAME
+        write_frame(stdout, greeting)
+        status = serve(connection, stdin, stdout, use_rowset)
+        if status is not None:
+            return status
+
+
+def serve(connection, stdin, stdout, use_rowset: bool):
+    """Run statements on *connection* until the parent ends it: None
+    after a ``reset`` (wait for the next hello), else the exit status."""
     while True:
         try:
             message = read_frame(stdin)
@@ -79,6 +100,14 @@ def main() -> int:
             except Exception:
                 pass
             return 0
+        if op == "reset":
+            try:
+                connection.close()
+            except Exception:
+                write_frame(stdout, {"fatal": traceback.format_exc()})
+                return 1
+            write_frame(stdout, {"reset": "ok"})
+            return None
         if op == "execute_many":
             for sql in message["sqls"]:
                 try:

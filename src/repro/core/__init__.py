@@ -20,16 +20,28 @@ The *error oracle* (§3.3) and crash handling live in
 :mod:`repro.core.reducer`.
 """
 
-from repro.core.containment import check_containment, containment_query
-from repro.core.error_oracle import ErrorOracle
-from repro.core.exprgen import ExpressionGenerator
-from repro.core.pivot import PivotSelector, PivotRow
-from repro.core.querygen import QueryGenerator, SynthesizedQuery
-from repro.core.rectify import rectify_condition
-from repro.core.reducer import TestCaseReducer
-from repro.core.reports import BugReport, Oracle, TestCase
-from repro.core.runner import PQSRunner, RunnerConfig
-from repro.core.schema import ColumnModel, SchemaModel, TableModel
+from repro import _lazy
+
+# Lazy, like the top-level package: repro.stategen imports
+# repro.core.schema, and an eager import of the runner here would close
+# the cycle runner -> stategen -> core on a cold ``import repro.stategen``.
+_EXPORTS = {
+    **dict.fromkeys(("check_containment", "containment_query"),
+                    "repro.core.containment"),
+    "ErrorOracle": "repro.core.error_oracle",
+    "ExpressionGenerator": "repro.core.exprgen",
+    **dict.fromkeys(("PivotSelector", "PivotRow"), "repro.core.pivot"),
+    **dict.fromkeys(("QueryGenerator", "SynthesizedQuery"),
+                    "repro.core.querygen"),
+    "rectify_condition": "repro.core.rectify",
+    "TestCaseReducer": "repro.core.reducer",
+    **dict.fromkeys(("BugReport", "Oracle", "TestCase"),
+                    "repro.core.reports"),
+    **dict.fromkeys(("PQSRunner", "RunnerConfig"), "repro.core.runner"),
+    **dict.fromkeys(("ColumnModel", "SchemaModel", "TableModel"),
+                    "repro.core.schema"),
+}
+__getattr__, __dir__ = _lazy.exports(__name__, _EXPORTS)
 
 __all__ = [
     "BugReport",

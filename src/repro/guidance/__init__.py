@@ -18,23 +18,22 @@ Usage::
     print(guidance.coverage.distinct, "distinct plans")
 """
 
-from repro.guidance.coverage import PlanCoverage
-from repro.guidance.fingerprint import (
-    PlanStep,
-    canonicalize,
-    fingerprint,
-    parse_sqlite_eqp_detail,
-    steps_from_minidb,
-    steps_from_sqlite_eqp,
-)
-from repro.guidance.scheduler import (
-    NULL_GUIDANCE,
-    NullGuidance,
-    PlanGuidance,
-    RoundProfile,
-    mix_seed,
-    mutation_weights,
-)
+from repro import _lazy
+# ``fingerprint`` names both a function and a submodule.  Importing the
+# submodule rebinds the package attribute to the module, so the
+# function is bound eagerly, after that import, rather than lazily.
+from repro.guidance.fingerprint import fingerprint
+
+_EXPORTS = {
+    "PlanCoverage": "repro.guidance.coverage",
+    **dict.fromkeys(("PlanStep", "canonicalize", "parse_sqlite_eqp_detail",
+                     "steps_from_minidb", "steps_from_sqlite_eqp"),
+                    "repro.guidance.fingerprint"),
+    **dict.fromkeys(("NULL_GUIDANCE", "NullGuidance", "PlanGuidance",
+                     "RoundProfile", "mix_seed", "mutation_weights"),
+                    "repro.guidance.scheduler"),
+}
+_resolve, __dir__ = _lazy.exports(__name__, _EXPORTS)
 
 __all__ = [
     "MUTATION_WEIGHTS", "NULL_GUIDANCE", "NullGuidance", "PlanCoverage",
@@ -49,5 +48,5 @@ def __getattr__(name: str):
     # MUTATION_WEIGHTS resolves lazily (it needs repro.stategen, which
     # would close an import cycle if pulled in at package-import time).
     if name == "MUTATION_WEIGHTS":
-        return mutation_weights()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return _resolve("mutation_weights")()
+    return _resolve(name)

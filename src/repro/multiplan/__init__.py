@@ -20,15 +20,15 @@ Usage::
         print(divergence.message)
 """
 
-from repro.multiplan.hints import BASELINE, PlannerHints
-from repro.multiplan.oracle import (
-    Divergence,
-    MultiPlanOracle,
-    NULL_MULTIPLAN,
-    NullMultiPlan,
-    PlanRun,
-)
-from repro.multiplan.replay import MultiPlanReplayer
+from repro import _lazy
+
+_EXPORTS = {
+    **dict.fromkeys(("BASELINE", "PlannerHints"), "repro.multiplan.hints"),
+    **dict.fromkeys(("Divergence", "MultiPlanOracle", "NULL_MULTIPLAN",
+                     "NullMultiPlan", "PlanRun"), "repro.multiplan.oracle"),
+    "MultiPlanReplayer": "repro.multiplan.replay",
+}
+__getattr__, __dir__ = _lazy.exports(__name__, _EXPORTS)
 
 __all__ = [
     "BASELINE", "Divergence", "MultiPlanOracle", "MultiPlanReplayer",

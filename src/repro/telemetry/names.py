@@ -97,6 +97,11 @@ JOURNAL_RECOVERED_ROUNDS = "pqs_journal_recovered_rounds_total"
 # -- fault-isolation harness (repro.adapters.subprocess_adapter) ------------
 #: Worker (re)starts after the initial spawn (counter).
 WORKER_RESTARTS = "pqs_worker_restarts_total"
+#: Hellos a parked worker took instead of a new process (counter).
+WORKER_REUSES = "pqs_worker_reuses_total"
+#: New worker processes, from ``Popen`` through the hello reply
+#: (histogram).
+WORKER_SPAWN_SECONDS = "pqs_worker_spawn_seconds"
 #: Hung workers killed by the statement watchdog (counter).
 WATCHDOG_KILLS = "pqs_watchdog_kills_total"
 #: Statements replayed per state restoration (histogram; unit is
@@ -169,6 +174,9 @@ HELP = {
         "Duplicate round indexes deduplicated on journal load",
     JOURNAL_RECOVERED_ROUNDS: "Rounds recovered from a journal on resume",
     WORKER_RESTARTS: "Subprocess worker (re)starts after the initial spawn",
+    WORKER_REUSES: "Connections served by a parked subprocess worker",
+    WORKER_SPAWN_SECONDS:
+        "New subprocess worker start-up, Popen through the hello reply",
     WATCHDOG_KILLS: "Hung subprocess workers killed by the watchdog",
     REPLAY_STATEMENTS: "Statements replayed per state restoration",
     ROUNDTRIP_SECONDS: "Parent-observed execute() round-trip latency",

@@ -147,8 +147,18 @@ class TestMidBatchFaults:
             assert isinstance(outcomes[1][1], DBCrash)
             # Restart replays CREATE TABLE + the one pre-death INSERT.
             assert table_count(conn) == 1
+            recovered = conn.worker_pid
         finally:
             conn.close()
+        # The next connection reuses the recovered worker, never the
+        # killed one, and starts with none of the crashed round's state.
+        again = isolated()
+        try:
+            assert again.worker_pid == recovered != pid
+            outcomes = again.execute_many(["SELECT COUNT(*) FROM t"])
+            assert [k for k, _ in outcomes] == ["error"]
+        finally:
+            again.close()
 
     def test_watchdog_timeout_mid_batch(self):
         plan = FaultPlan(hang_at=(2,), hang_seconds=30.0)

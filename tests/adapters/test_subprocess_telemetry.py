@@ -68,6 +68,29 @@ class TestHarnessMetrics:
             conn.close()
         assert telemetry.registry.value(names.WATCHDOG_KILLS) == 1
 
+    def test_spawn_timed_and_reuse_counted(self, idle_workers):
+        telemetry = Telemetry()
+        for _ in range(3):
+            isolated(telemetry).close()
+        registry = telemetry.registry
+        assert registry.histogram(names.WORKER_SPAWN_SECONDS).count == 1
+        assert registry.value(names.WORKER_REUSES) == 2
+        assert registry.value(names.WORKER_RESTARTS) == 0
+
+    def test_restart_after_crash_spawns_a_new_worker(self, idle_workers):
+        telemetry = Telemetry()
+        conn = isolated(telemetry, FaultPlan(crash_at=(0,)))
+        try:
+            with pytest.raises(DBCrash):
+                conn.execute("CREATE TABLE t(a)")
+            conn.execute("CREATE TABLE t(a)")
+        finally:
+            conn.close()
+        registry = telemetry.registry
+        assert registry.value(names.WORKER_RESTARTS) == 1
+        assert registry.histogram(names.WORKER_SPAWN_SECONDS).count == 2
+        assert registry.value(names.WORKER_REUSES) == 0
+
     def test_disabled_mode_records_nothing(self):
         conn = isolated(None, FaultPlan(crash_at=(0,)))
         try:

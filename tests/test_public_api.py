@@ -1,8 +1,15 @@
 """Public API surface: everything advertised imports and works."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestPublicSurface:
@@ -51,3 +58,42 @@ class TestPublicSurface:
 
     def test_value_reexported(self):
         assert repro.Value.integer(1).v == 1
+
+
+def fresh_interpreter(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, check=True).stdout
+
+
+class TestLazyExports:
+    def test_worker_imports_only_what_its_adapter_needs(self):
+        loaded = fresh_interpreter(
+            "import sys\n"
+            "import repro.adapters.subprocess_worker\n"
+            "import repro.adapters.sqlite3_adapter\n"
+            "print(' '.join(sys.modules))").split()
+        for package in ("repro.minidb", "repro.campaigns", "repro.core"):
+            assert not [m for m in loaded
+                        if m == package or m.startswith(package + ".")]
+
+    def test_every_exported_name_imports_from_a_fresh_interpreter(self):
+        for package in ("repro", "repro.adapters", "repro.core",
+                        "repro.guidance", "repro.multiplan"):
+            fresh_interpreter(
+                f"import {package} as p\n"
+                f"for name in p.__all__:\n"
+                f"    exec(f'from {package} import {{name}}')\n")
+
+    def test_fingerprint_stays_the_function(self):
+        # ``repro.guidance.fingerprint`` is also a submodule; importing
+        # it must not shadow the re-exported function.
+        import repro.guidance.fingerprint  # noqa: F401
+        from repro.guidance import fingerprint
+
+        assert callable(fingerprint)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            repro.NoSuchName  # noqa: B018
+        assert "Campaign" in dir(repro)
