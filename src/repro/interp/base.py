@@ -238,60 +238,32 @@ _BIT_OPS = frozenset({BinaryOp.BITAND, BinaryOp.BITOR, BinaryOp.SHL,
 class Interpreter:
     """Evaluate expression ASTs against a pivot row (paper Algorithm 2).
 
-    Expressions are compiled once into a tree of closures and the compiled
-    form is memoized per AST node identity, so the per-row cost is a dict
-    probe plus the closure calls.  Compilation mirrors the historical
+    Each call compiles the expression into a tree of closures and runs it.
+    Nothing is memoized: most trees (synthesized conditions, substituted
+    aggregates) are evaluated once, so a memo would only keep dead closure
+    trees alive for the collector to walk.  Callers that evaluate one tree
+    per row (MiniDB's filters, joins and projections) call :meth:`compile`
+    once and reuse the closure.  Compilation mirrors the historical
     tree-walking evaluator exactly — same evaluation order, same semantics
     hooks, same error messages — because the containment oracle depends on
-    bit-identical outcomes.  Nodes are immutable (frozen dataclasses), so
-    identity keying is sound; the cache holds strong references, so an id
-    cannot be reused while its entry is alive.
+    bit-identical outcomes.
     """
-
-    #: Clear-all bound on the compiled-closure memo: campaigns evaluate an
-    #: unbounded stream of distinct expressions through one long-lived
-    #: oracle interpreter.
-    _CACHE_LIMIT = 2048
 
     def __init__(self, semantics: Semantics):
         self.semantics = semantics
-        self._compiled: dict[int, tuple[Expr, CompiledExpr]] = {}
 
     # -- public API ----------------------------------------------------------
     def evaluate(self, expr: Expr, row: Row) -> Value:
         """Evaluate *expr* with column references bound from *row*."""
-        entry = self._compiled.get(id(expr))
-        if entry is None:
-            if len(self._compiled) >= self._CACHE_LIMIT:
-                self._compiled.clear()
-            entry = (expr, self._compile(expr))
-            self._compiled[id(expr)] = entry
-        return entry[1](row)
+        return self._compile(expr)(row)
 
     def evaluate_bool(self, expr: Expr, row: Row) -> Ternary:
         """Evaluate *expr* in a boolean context (for WHERE/JOIN conditions)."""
         return self.semantics.to_bool(self.evaluate(expr, row))
 
-    def evaluate_uncached(self, expr: Expr, row: Row) -> Value:
-        """Evaluate a one-shot tree without touching the compile memo.
-
-        For callers that build fresh nodes per evaluation (aggregate
-        substitution), where caching would only thrash the memo.
-        (Per-subtree memoization was tried and measured slower: most
-        synthesized trees are evaluated exactly once, so the memo
-        bookkeeping outweighs the few re-extension hits.)
-        """
-        return self._compile(expr)(row)
-
     def compile(self, expr: Expr) -> CompiledExpr:
-        """The compiled closure for *expr* (memoized)."""
-        entry = self._compiled.get(id(expr))
-        if entry is None:
-            if len(self._compiled) >= self._CACHE_LIMIT:
-                self._compiled.clear()
-            entry = (expr, self._compile(expr))
-            self._compiled[id(expr)] = entry
-        return entry[1]
+        """A fresh compiled closure for *expr*, to call once per row."""
+        return self._compile(expr)
 
     # -- compilation ----------------------------------------------------------
     def _compile(self, expr: Expr) -> CompiledExpr:

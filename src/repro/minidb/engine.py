@@ -99,19 +99,6 @@ class Engine:
         self.interp = Interpreter(self.semantics)
         self.statements_executed = 0
         self._snapshot = None
-        #: sql -> (columns, rows) for top-level SELECTs; invalidated
-        #: wholesale by any non-SELECT statement and bypassed entirely
-        #: while plan forcing is active.
-        self._select_cache: dict[str, tuple[list, list]] = {}
-        #: (table name, visible name) -> full-scan SourceRow list.
-        #: Distinct queries between writes re-scan the same relations;
-        #: rebuilding one qualified-name env dict per row per query is
-        #: the single hottest allocation in a hunt.  Cleared wholesale by
-        #: any non-SELECT/EXPLAIN statement (see execute_statement);
-        #: population is suspended while such a statement runs so a
-        #: scan taken *before* its writes cannot linger.
-        self._scan_cache: dict[tuple[str, str], list] = {}
-        self._scan_caching = True
         #: Multi-plan forcing (repro.multiplan.hints.PlannerHints): set
         #: transiently by MiniDBConnection.with_plan around one query.
         #: None means "plan normally" — the permanent state of every
@@ -136,26 +123,6 @@ class Engine:
         """
         stmt = parse_statement(sql)
         self.statements_executed += 1
-        if type(stmt) is st.Select and self.hints is None:
-            # The pivot probes re-read identical SELECTs between DML-free
-            # pivot rounds; cache hits must hand out fresh containers
-            # because fault injection mutates returned row lists.  Forced
-            # executions (multiplan/plantime) never come through here —
-            # with_plan calls execute_statement directly.
-            cached = self._select_cache.get(sql)
-            if cached is not None:
-                columns, rows = cached
-                return ResultSet(columns=list(columns), rows=list(rows))
-            result = self.execute_statement(stmt)
-            if len(self._select_cache) >= 128:
-                self._select_cache.clear()
-            self._select_cache[sql] = (list(result.columns),
-                                       list(result.rows))
-            return result
-        if not isinstance(stmt, (st.Select, st.Explain)):
-            # Invalidate up front: a failing DDL/DML statement may still
-            # have touched state before raising.
-            self._select_cache.clear()
         return self.execute_statement(stmt)
 
     def execute_statement(self, stmt: st.Statement) -> ResultSet:
@@ -163,19 +130,6 @@ class Engine:
             return SelectExecutor(self).execute(stmt)
         if isinstance(stmt, st.Explain):
             return self._explain(stmt)
-        # Anything below may mutate catalog state.  Drop the scan cache
-        # up front (a failing statement may still have touched state) and
-        # keep it suspended for the duration: a scan performed *by* this
-        # statement (e.g. CREATE VIEW validation, INSERT ... SELECT)
-        # must not be remembered past the writes that follow it.
-        self._scan_cache.clear()
-        self._scan_caching = False
-        try:
-            return self._execute_mutating(stmt)
-        finally:
-            self._scan_caching = True
-
-    def _execute_mutating(self, stmt: st.Statement) -> ResultSet:
         if isinstance(stmt, st.CreateTable):
             return self._create_table(stmt)
         if isinstance(stmt, st.CreateIndex):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import CatalogError, DBCrash, DBError, IntegrityError, UnsupportedError
-from repro.interp.base import EvalError
+from repro.interp.base import CompiledExpr, EvalError
 from repro.interp.mysql_sem import to_number as mysql_to_number
 from repro.minidb import statements as st
 from repro.minidb.catalog import Table
@@ -301,21 +301,6 @@ class SelectExecutor:
 
     def _scan(self, visible: str, table: Table,
               path: AccessPath) -> list[SourceRow]:
-        # Full scans are pure functions of table contents, so their
-        # SourceRow lists are shared across queries until the next
-        # write (the engine clears the cache on any non-SELECT).  The
-        # list container is copied both ways — callers may hand the
-        # list onward — but the SourceRows themselves are shared: no
-        # pipeline stage mutates env/tables in place (merges, LEFT-join
-        # padding and the MEMORY clamp all copy first).  Index and
-        # skip scans stay uncached: their row order depends on index
-        # entries and defect state, not just the heap.
-        cacheable = path.kind == "full-scan"
-        if cacheable:
-            key = (table.name, visible)
-            cached = self.engine._scan_cache.get(key)
-            if cached is not None:
-                return list(cached)
         rows = self.engine.scan_rows(table, path)
         out = []
         # All rows of one relation share the same key set in the same
@@ -329,8 +314,6 @@ class SelectExecutor:
                 keys = [f"{visible}.{col}" for col in row]
             out.append(SourceRow(env=dict(zip(keys, row.values())),
                                  tables={visible: rowid}))
-        if cacheable and self.engine._scan_caching:
-            self.engine._scan_cache[key] = list(out)
         return out
 
     def _stale_join_collision(self, a: SourceRow,
@@ -364,10 +347,10 @@ class SelectExecutor:
         null_env = {f"{visible}.{col}": NULL
                     for col in table.column_names()}
         on = join.on
+        on_fn = self.interp.compile(on) if on is not None else None
         if on is None or self._memory_clamp:
             test = None
         else:
-            on_fn = self.interp.compile(on)
             to_bool = self.semantics.to_bool
 
             def test(merged: SourceRow) -> bool:
@@ -381,7 +364,7 @@ class SelectExecutor:
                 merged = self._merge(lrow, rrow)
                 if on is None or \
                         (test(merged) if test is not None
-                         else self._eval_bool_where(on, merged) is True):
+                         else self._eval_bool_where(on_fn, merged) is True):
                     matched = True
                     out.append(merged)
             if join.kind == "LEFT" and not matched:
@@ -398,13 +381,12 @@ class SelectExecutor:
         except EvalError as exc:
             raise DBError(str(exc)) from exc
 
-    def _eval_bool_where(self, expr: Expr, row: SourceRow):
+    def _eval_bool_where(self, compiled: CompiledExpr, row: SourceRow):
         env = row.env
         if self._memory_clamp:
             env = self._memory_clamped(env, row)
         try:
-            return self.interp.semantics.to_bool(
-                self.interp.evaluate(expr, env))
+            return self.interp.semantics.to_bool(compiled(env))
         except EvalError as exc:
             raise DBError(str(exc)) from exc
 
@@ -416,10 +398,10 @@ class SelectExecutor:
         raises — but the expression compiles once and the per-row path
         skips re-resolving the defect flag and bound methods.
         """
+        predicate = self.interp.compile(where)
         if self._memory_clamp:
             return [row for row in source_rows
-                    if self._eval_bool_where(where, row) is True]
-        predicate = self.interp.compile(where)
+                    if self._eval_bool_where(predicate, row) is True]
         to_bool = self.semantics.to_bool
         try:
             return [row for row in source_rows
@@ -618,9 +600,8 @@ class SelectExecutor:
         substituted = transform(expr, visit)
         env = group_rows[0].env if group_rows else {}
         try:
-            # One-shot tree: evaluate without entering the compile memo
-            # (each group builds fresh nodes, which would thrash it).
-            return self.interp.evaluate_uncached(substituted, env)
+            # A one-shot tree: each group builds fresh nodes.
+            return self.interp.evaluate(substituted, env)
         except EvalError as exc:
             raise DBError(str(exc)) from exc
 
